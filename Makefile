@@ -3,19 +3,19 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race cover bench fuzz fuzz-smoke oracle-race par-race shard-race partition-race policy-race typed-race serve-smoke obs-smoke shard-bench policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
+.PHONY: all check build vet test test-short test-race cover bench fuzz fuzz-smoke serve-smoke obs-smoke shard-bench policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
 
 all: build vet test
 
-# What CI runs (.github/workflows/ci.yml): vet + build + race-enabled tests,
-# the differential oracle under the race detector, a fuzzing smoke pass, the
-# shard/durability suite under the race detector, the admission-policy layer
-# under the race detector, the typed processor model under the race detector,
-# an end-to-end boot/admit/drain check of the fedschedd daemon, a smoke test
-# of its observability surface (/metrics, pprof, ?trace=1, flight recorder,
-# audit log), and the continuous perf-regression gate over the pinned
-# benchmark set.
-check: vet build test-race oracle-race par-race shard-race partition-race policy-race typed-race fuzz-smoke serve-smoke obs-smoke perf-gate
+# What CI runs (.github/workflows/ci.yml): vet + build + the whole test
+# suite under the race detector (the differential oracles, the parallel
+# Phase-1 determinism pins, the shard/durability, incremental-partition,
+# admission-policy and typed-model suites all run there), a fuzzing smoke
+# pass, an end-to-end boot/admit/drain check of the fedschedd daemon, a smoke
+# test of its observability surface (/metrics, pprof, ?trace=1, flight
+# recorder, audit log), and the continuous perf-regression gate over the
+# pinned benchmark set.
+check: vet build test-race fuzz-smoke serve-smoke obs-smoke perf-gate
 
 build:
 	$(GO) build ./...
@@ -54,58 +54,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDBFStar -fuzztime=30s ./internal/dbf/
 	$(GO) test -fuzz=FuzzVerifyAllocation -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzPartitionState -fuzztime=30s ./internal/partition/
-
-# The fast-vs-reference differential oracle under the race detector.
-oracle-race:
-	$(GO) test -race -run 'TestOracle' ./internal/sim/
-
-# The parallel Phase-1 engine's determinism pins under the race detector:
-# core's seed × worker-count differential matrix and the service-level
-# batch/incremental equivalence tests.
-par-race:
-	$(GO) test -race -run 'TestSchedulePar|TestAdmitBatchParMatchesSequential|TestIncrementalMatchesBatch' ./internal/core/ ./internal/service/
-
-# The sharded-router and WAL/snapshot durability suite under the race
-# detector: pre-refactor golden differentials through the router, kill/restart
-# recovery byte-identity, torn-write WAL sweeps, multi-shard isolation.
-shard-race:
-	$(GO) test -race -run 'TestRouter|TestGoldenDifferential|TestShard|TestMultiShard|TestFleet|TestHashRing|TestRecovery' ./internal/service/
-	$(GO) test -race ./internal/store/
-
-# The incremental Phase-2 partition state's byte-identity harness under the
-# race detector: the seed × heuristic × admission-test differential matrix,
-# the Admit∘Remove inverse property, the core AdmitLow/RemoveLow/VerifyDelta
-# differentials, and the service twin-server walks (warm vs FullRepartition).
-partition-race:
-	$(GO) test -race -run 'TestPartitionState|TestState' ./internal/partition/
-	$(GO) test -race -run 'TestAdmitRemoveLow|TestRemoveLow|TestVerifyDelta' ./internal/core/
-	$(GO) test -race -run 'TestWarmPath|TestServiceStateRandomWalk|TestEncodeFast' ./internal/service/
-
-# The pluggable admission-policy layer under the race detector: the
-# semi-federated and reservation property suites (service-lemma sizing,
-# acceptance dominance over strict FEDCONS, verifier rejection of mutated
-# budgets and servers), the 20-seed CLI differential pinning -policy=fedcons
-# byte-identical to the default invocation, the daemon's policy-pinned
-# durability (banner, snapshot header, recovery refusal), and the E22
-# dominance certification at quick scale.
-policy-race:
-	$(GO) test -race ./internal/semifed/ ./internal/reservation/
-	$(GO) test -race -run 'TestPolicy' ./cmd/fedsched/ ./cmd/fedschedd/ ./cmd/analyze/
-	$(GO) test -race -run 'TestConfigValidatePolicy|TestE22' ./internal/exp/
-
-# The typed (heterogeneous) processor model under the race detector: the
-# typed list-scheduling engine properties, the typed MINPROCS metamorphic
-# suite (edge-order invariance, type-label swap mirror, untyped degeneracy),
-# the typed hash sensitivity pins, the typed differential oracle (fast vs
-# reference engine with per-slice type audits), the 20-seed CLI differential
-# pinning single-type -policy=typed byte-identical to strict -policy=fedcons,
-# and the E23 type-mix certification at quick scale.
-typed-race:
-	$(GO) test -race -run 'TestRunTyped|TestTypedProcBase|TestValidateTyped' ./internal/listsched/
-	$(GO) test -race -run 'TestMinprocsTyped|TestTaskHashTypeSensitivity' ./internal/core/
-	$(GO) test -race -run 'TestOracleTyped' ./internal/sim/
-	$(GO) test -race -run 'TestTyped' ./cmd/fedsched/ ./cmd/fedschedd/ ./cmd/analyze/
-	$(GO) test -race -run 'TestE23' ./internal/exp/
 
 # End-to-end daemon smoke test: build fedschedd, boot it on a random port,
 # admit Example 1 (accepted) and a 3-wide high-density task (3-processor

@@ -106,7 +106,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "  %-12s scan: %s  analytic: %s",
 				tk.Name, muOrInf(muS, okS), muOrInf(muA, okA))
 			if okS {
-				fmt.Fprintf(out, "  (template makespan %d, window %d)", tmplS.Makespan, min64(tk.D, tk.T))
+				fmt.Fprintf(out, "  (template makespan %d, window %d)", tmplS.Makespan, core.Window(tk))
 			}
 			fmt.Fprintln(out)
 		}
@@ -229,13 +229,6 @@ func minMString(sys task.System, test func(task.System, int) bool) string {
 		}
 	}
 	return ">256"
-}
-
-func min64(a, b task.Time) task.Time {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func sumInts(v []int) int {

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fedsched/internal/listsched"
 	"fedsched/internal/obs"
@@ -380,11 +381,67 @@ func minprocsAnalyticTrace(tk *task.DAGTask, mr int, sp *obs.Span, ls lsRunner) 
 
 // ceilDensity returns ⌈δ_i⌉ = ⌈vol / min(D,T)⌉ in exact integer arithmetic.
 func ceilDensity(tk *task.DAGTask) int {
-	den := tk.D
-	if tk.T < den {
-		den = tk.T
-	}
+	den := window(tk)
 	return int((tk.Volume() + den - 1) / den)
+}
+
+// Phase1Result is the platform-independent outcome of MINPROCS for one
+// high-density task: the minimum processor count μ* over an unbounded
+// platform and its witness template, or infeasibility at every count.
+// Bounding by the processors actually remaining (μ* ≤ m_r) is exactly the
+// paper's bounded scan, because the scan visits μ = ⌈δ_i⌉, ⌈δ_i⌉+1, … in an
+// order that does not depend on m_r.
+type Phase1Result struct {
+	Feasible bool
+	Mu       int
+	Template *listsched.Schedule
+}
+
+// Phase1Memo memoizes Phase1Result across ScheduleMemo calls. The outcome
+// depends on Options.Minprocs and Options.Priority, so one memo must serve a
+// single setting of both. Probe may be called concurrently (by the Phase-1
+// worker pool); Lookup and Store are called only from the sequential merge
+// loop, in input order.
+type Phase1Memo interface {
+	// Lookup returns the memoized outcome for tk, counting a hit or a miss.
+	Lookup(tk *task.DAGTask) (Phase1Result, bool)
+	// Store memoizes the outcome computed for tk after a missed Lookup.
+	Store(tk *task.DAGTask, res Phase1Result)
+	// Probe reports whether Lookup would hit, without counting.
+	Probe(tk *task.DAGTask) bool
+}
+
+// minprocsStep is the merge loop's MINPROCS step for one high-density task
+// with m_r = mr processors remaining. Without a memo it is the bounded scan
+// of the configured rule. With one, a hit replays μ*; a miss runs the scan on
+// the task's span over an unbounded platform — the LS scan capped at the DAG
+// width, where it succeeds whenever len ≤ min(D,T), or the analytic rule
+// with no budget — and stores the outcome. Either way μ* ≤ m_r then decides
+// (see Phase1Result).
+func minprocsStep(memo Phase1Memo, mode MinprocsMode, tk *task.DAGTask, mr int, sp *obs.Span, ls lsRunner) (int, *listsched.Schedule, bool) {
+	scan := minprocsTrace
+	if mode == Analytic {
+		scan = minprocsAnalyticTrace
+	}
+	if memo == nil {
+		return scan(tk, mr, sp, ls)
+	}
+	res, hit := memo.Lookup(tk)
+	if hit {
+		sp.Str("cache", "hit")
+	} else {
+		unbounded := math.MaxInt
+		if mode != Analytic {
+			unbounded = tk.G.Width()
+		}
+		res.Mu, res.Template, res.Feasible = scan(tk, unbounded, sp, ls)
+		memo.Store(tk, res)
+		sp.Str("cache", "miss")
+	}
+	if !res.Feasible || res.Mu > mr {
+		return 0, nil, false
+	}
+	return res.Mu, res.Template, true
 }
 
 // Schedule runs the configured admission policy on (τ, m): the paper's
@@ -394,19 +451,33 @@ func ceilDensity(tk *task.DAGTask) int {
 // a *FailureError describing the phase and task responsible when the strict
 // path decided.
 func Schedule(sys task.System, m int, opt Options) (*Allocation, error) {
+	return ScheduleMemo(sys, m, opt, nil)
+}
+
+// ScheduleMemo is Schedule with Phase-1 MINPROCS outcomes drawn from memo
+// (nil: none); policies receive the strict scheduler bound to the same memo
+// as their fallback. For any memo filled by earlier calls with the same
+// Minprocs and Priority it returns exactly what Schedule returns — the memo
+// only removes repeated list-scheduling work. With a non-nil memo each
+// high-density task span of the decision trace also carries a "cache" attr
+// ("hit" or "miss"): a hit replays μ* with no "mu" candidate children, and
+// a miss records its scan over the unbounded platform.
+func ScheduleMemo(sys task.System, m int, opt Options, memo Phase1Memo) (*Allocation, error) {
 	if opt.Policy != "" && opt.Policy != PolicyFedcons {
 		p, err := LookupPolicy(opt.Policy)
 		if err != nil {
 			return nil, err
 		}
-		return p.Schedule(sys, m, opt, scheduleFedcons)
+		return p.Schedule(sys, m, opt, func(sys task.System, m int, opt Options) (*Allocation, error) {
+			return scheduleFedcons(sys, m, opt, memo)
+		})
 	}
-	return scheduleFedcons(sys, m, opt)
+	return scheduleFedcons(sys, m, opt, memo)
 }
 
 // scheduleFedcons is the strict FEDCONS(τ, m) of Fig. 2 — the body behind
-// Schedule's default dispatch and the fallback handed to policies.
-func scheduleFedcons(sys task.System, m int, opt Options) (*Allocation, error) {
+// ScheduleMemo's default dispatch and the fallback handed to policies.
+func scheduleFedcons(sys task.System, m int, opt Options, memo Phase1Memo) (*Allocation, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
@@ -425,16 +496,12 @@ func scheduleFedcons(sys task.System, m int, opt Options) (*Allocation, error) {
 	// worker pool; the merge loop below then replays them from the memo in
 	// canonical (input) order, so every decision — and every trace byte —
 	// is made by exactly the same code as the sequential path.
-	memos := phase1Prefetch(sys, opt)
+	memos := phase1Prefetch(sys, opt, memo)
 	runnerFor := func(i int, tk *task.DAGTask) lsRunner {
 		if memos != nil && memos[i] != nil {
 			return memos[i]
 		}
 		return liveRunner(tk, opt.Priority)
-	}
-	minprocs := minprocsTrace
-	if opt.Minprocs == Analytic {
-		minprocs = minprocsAnalyticTrace
 	}
 
 	root := opt.Trace.Start("fedcons")
@@ -460,7 +527,7 @@ func scheduleFedcons(sys task.System, m int, opt Options) (*Allocation, error) {
 			alloc.LowIndices = append(alloc.LowIndices, i)
 			continue
 		}
-		mi, tmpl, ok := minprocs(tk, mr, tsp, runnerFor(i, tk))
+		mi, tmpl, ok := minprocsStep(memo, opt.Minprocs, tk, mr, tsp, runnerFor(i, tk))
 		if !ok {
 			tsp.Bool("failed", true).Finish()
 			phase1.Finish()

@@ -41,6 +41,13 @@ import (
 // never replayed), and tasks after a Phase-1 failure are scanned even though
 // the merge loop stops at the failure. Both waste only wall-clock on
 // otherwise-idle cores, never change results.
+//
+// With a Phase1Memo each worker first probes the memo (hashing in parallel,
+// for a content-keyed memo) and scans only on a miss, so a fully warm pass
+// runs no list scheduling. Hits and misses are counted only by the merge
+// loop's Lookup, in input order, so the totals equal the sequential ones at
+// every Par even when one system holds two tasks of equal content (both are
+// scanned here; the merge loop misses the first and hits the second).
 
 // lsResult memoizes one listsched.Run outcome.
 type lsResult struct {
@@ -50,10 +57,10 @@ type lsResult struct {
 
 // phase1Prefetch runs the Phase-1 LS scans of sys's high-density tasks on a
 // pool of min(opt.Par, #high-density) workers and returns a per-task-index
-// memoized lsRunner (nil entries for low-density tasks). It returns nil —
-// meaning "run everything live" — when opt.Par ≤ 1 or fewer than two tasks
-// are high-density, where a pool could not help.
-func phase1Prefetch(sys task.System, opt Options) []lsRunner {
+// memoized lsRunner (nil entries for low-density tasks and memo hits). It
+// returns nil — meaning "run everything live" — when opt.Par ≤ 1 or fewer
+// than two tasks are high-density, where a pool could not help.
+func phase1Prefetch(sys task.System, opt Options, memo Phase1Memo) []lsRunner {
 	if opt.Par <= 1 {
 		return nil
 	}
@@ -82,7 +89,9 @@ func phase1Prefetch(sys task.System, opt Options) []lsRunner {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				memos[i] = prefetchTask(sys[i], opt)
+				if memo == nil || !memo.Probe(sys[i]) {
+					memos[i] = prefetchTask(sys[i], opt)
+				}
 			}
 		}()
 	}

@@ -20,7 +20,7 @@ import (
 // (internal/semifed, internal/reservation) behind the Policy interface below;
 // this file owns what must stay policy-independent:
 //
-//   - the policy registry Schedule and the service layer dispatch through;
+//   - the policy registry that ScheduleMemo dispatches through;
 //   - the split allocation shape (Allocation.Policy + Allocation.Servers) and
 //     the construction of server tasks for the shared Phase-2 partitioner;
 //   - the policy-aware verifier for split-shape allocations, so Verify can
@@ -52,8 +52,8 @@ const (
 )
 
 // ScheduleFunc is the signature of a strict-FEDCONS scheduler. Policies
-// receive one as their fallback so a memoizing caller (the service layer)
-// can substitute its cache-backed equivalent for core's batch Schedule.
+// receive one as their fallback; ScheduleMemo binds it to the caller's
+// Phase-1 memo, so a policy's strict retry also draws on the memo.
 type ScheduleFunc func(sys task.System, m int, opt Options) (*Allocation, error)
 
 // Policy is one pluggable admission strategy. Schedule must be a pure

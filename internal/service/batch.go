@@ -78,7 +78,7 @@ func (s *Shard) doAdmitBatch(tks []*task.DAGTask, rec *obs.Recorder, meta mutMet
 	trial := append(s.sys.Clone(), tks...)
 	opt := s.cfg.Options
 	opt.Trace = srec
-	alloc, err := s.cache.Schedule(trial, s.cfg.M, opt)
+	alloc, err := core.ScheduleMemo(trial, s.cfg.M, opt, s.cache)
 	if err != nil {
 		// All-or-nothing: one infeasible combination rejects the whole batch
 		// and leaves the installed system untouched.

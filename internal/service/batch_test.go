@@ -12,6 +12,7 @@ import (
 	"fedsched/internal/core"
 	"fedsched/internal/dag"
 	"fedsched/internal/gen"
+	"fedsched/internal/obs"
 	"fedsched/internal/task"
 )
 
@@ -205,38 +206,51 @@ func batchSystem(t testing.TB, seed int64, n int) (task.System, int) {
 // TestAdmitBatchParMatchesSequential is the service-level differential test:
 // a batch admission through a Par-configured server must produce exactly the
 // same status, verdict bytes, installed snapshot, and cache hit/miss totals
-// as a sequential server, cold and warm.
+// as a sequential server, cold and warm. The traced input admits through
+// AdmitBatchTrace and compares the decision trace instead of the verdict
+// (which embeds the trace with timings): with timings stripped it must be
+// byte-identical too, per-μ "mu" children of pool-analyzed misses included.
 func TestAdmitBatchParMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		sys, m := batchSystem(t, seed, 10)
-		run := func(par int) (int, []byte, int64, int64, task.System) {
-			cfg := Config{M: m}
-			cfg.Options.Par = par
-			svc, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+		for _, traced := range []bool{false, true} {
+			run := func(par int) (int, []byte, int64, int64, task.System) {
+				cfg := Config{M: m}
+				cfg.Options.Par = par
+				svc, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer svc.Close()
+				ctx := context.Background()
+				var status int
+				var body []byte
+				if traced {
+					rec := obs.New(obs.DefaultLimits)
+					status, _ = svc.AdmitBatchTrace(ctx, sys.Clone(), "batch", rec)
+					body = rec.JSON(obs.ExportOptions{})
+				} else {
+					status, body = svc.AdmitBatch(ctx, sys.Clone())
+				}
+				hits, misses := svc.cache.Stats()
+				snap, _ := svc.Snapshot()
+				return status, body, hits, misses, snap
 			}
-			defer svc.Close()
-			ctx := context.Background()
-			status, body := svc.AdmitBatch(ctx, sys.Clone())
-			hits, misses := svc.cache.Stats()
-			snap, _ := svc.Snapshot()
-			return status, body, hits, misses, snap
-		}
-		seqStatus, seqBody, seqHits, seqMisses, seqSnap := run(0)
-		for _, par := range []int{2, 4, 8} {
-			parStatus, parBody, parHits, parMisses, parSnap := run(par)
-			if parStatus != seqStatus || !bytes.Equal(parBody, seqBody) {
-				t.Errorf("seed %d par %d: status/body diverge:\nseq %d %s\npar %d %s",
-					seed, par, seqStatus, seqBody, parStatus, parBody)
-			}
-			if parHits != seqHits || parMisses != seqMisses {
-				t.Errorf("seed %d par %d: cache stats %d/%d, sequential %d/%d",
-					seed, par, parHits, parMisses, seqHits, seqMisses)
-			}
-			if len(parSnap) != len(seqSnap) {
-				t.Errorf("seed %d par %d: snapshot %d tasks, sequential %d",
-					seed, par, len(parSnap), len(seqSnap))
+			seqStatus, seqBody, seqHits, seqMisses, seqSnap := run(0)
+			for _, par := range []int{2, 4, 8} {
+				parStatus, parBody, parHits, parMisses, parSnap := run(par)
+				if parStatus != seqStatus || !bytes.Equal(parBody, seqBody) {
+					t.Errorf("seed %d par %d traced %v: status/body diverge:\nseq %d %s\npar %d %s",
+						seed, par, traced, seqStatus, seqBody, parStatus, parBody)
+				}
+				if parHits != seqHits || parMisses != seqMisses {
+					t.Errorf("seed %d par %d traced %v: cache stats %d/%d, sequential %d/%d",
+						seed, par, traced, parHits, parMisses, seqHits, seqMisses)
+				}
+				if len(parSnap) != len(seqSnap) {
+					t.Errorf("seed %d par %d traced %v: snapshot %d tasks, sequential %d",
+						seed, par, traced, len(parSnap), len(seqSnap))
+				}
 			}
 		}
 	}

@@ -28,15 +28,17 @@ func genSystem(t testing.TB, seed int64, tasks int, totalU float64) task.System 
 }
 
 // TestIncrementalMatchesBatch pins the central equivalence: for any system,
-// platform and option set, the cache-backed Schedule returns exactly what
-// core.Schedule returns — identical allocations (numbering, templates) or
-// identical failure diagnoses — on both first (cold) and second (warm) runs.
+// platform and option set, core.ScheduleMemo with the cache as its memo
+// returns exactly what core.Schedule returns — identical allocations
+// (numbering, templates) or identical failure diagnoses — on both first
+// (cold) and second (warm) runs, with the Phase-1 worker pool on and off.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	opts := []core.Options{
 		{},
 		{Minprocs: core.Analytic},
 		{Priority: listsched.LongestPathFirst},
 		{Partition: partition.Options{Heuristic: partition.BestFit, Test: partition.ExactEDF}},
+		{Par: 4},
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		sys := genSystem(t, seed, 2+int(seed%6), 0.5+float64(seed%5))
@@ -45,7 +47,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			for m := 1; m <= 10; m += 3 {
 				want, wantErr := core.Schedule(sys, m, opt)
 				for pass := 0; pass < 2; pass++ { // cold, then warm
-					got, gotErr := cache.Schedule(sys, m, opt)
+					got, gotErr := core.ScheduleMemo(sys, m, opt, cache)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("seed %d m=%d pass %d: batch err %v, incremental err %v", seed, m, pass, wantErr, gotErr)
 					}

@@ -151,8 +151,9 @@ func newShard(id int, cfg Config) (*Shard, error) {
 // recover rebuilds the shard's live state from a store Recovery: the logged
 // content hashes are re-derived from the recovered tasks (end-to-end
 // integrity check on snapshot+WAL), the full FEDCONS analysis is re-run —
-// prewarming the Phase-1 memo cache on the configured worker pool — and the
-// resulting allocation is re-audited by core.Verify before it is installed.
+// filling the Phase-1 memo on core's worker pool (Config.Options.Par) — and
+// the resulting allocation is re-audited by core.Verify before it is
+// installed.
 // Runs before the writer loop starts, so the fields need no locking.
 func (s *Shard) recover(rec *store.Recovery) error {
 	if len(rec.Tasks) == 0 {
@@ -173,7 +174,7 @@ func (s *Shard) recover(rec *store.Recovery) error {
 			return fmt.Errorf("recovered task %q hashes to %s but the log recorded %s: store corrupted", tk.Name, h[:12], rec.Hashes[i])
 		}
 	}
-	alloc, err := s.cache.Schedule(rec.Tasks, s.cfg.M, s.cfg.Options)
+	alloc, err := core.ScheduleMemo(rec.Tasks, s.cfg.M, s.cfg.Options, s.cache)
 	if err != nil {
 		return fmt.Errorf("recovered system failed re-analysis: %w", err)
 	}
@@ -491,7 +492,7 @@ func (s *Shard) doAdmit(tk *task.DAGTask, rec *obs.Recorder, meta mutMeta) opRes
 	trial := append(s.sys.Clone(), tk)
 	opt := s.cfg.Options
 	opt.Trace = srec
-	alloc, err := s.cache.Schedule(trial, s.cfg.M, opt)
+	alloc, err := core.ScheduleMemo(trial, s.cfg.M, opt, s.cache)
 	if err != nil {
 		s.met.rejects.Add(1)
 		v := NewVerdict(trial, s.cfg.M, nil, err)
@@ -564,7 +565,7 @@ func (s *Shard) doRemove(name string, meta mutMeta) opResult {
 	if res, ok := s.fastRemove(name, idx, trial, hashes, meta); ok {
 		return res
 	}
-	alloc, err := s.cache.Schedule(trial, s.cfg.M, s.cfg.Options)
+	alloc, err := core.ScheduleMemo(trial, s.cfg.M, s.cfg.Options, s.cache)
 	if err != nil {
 		// Removing a task can, in principle, perturb the deadline-ordered
 		// first-fit packing enough to fail; keep the (verified) old state

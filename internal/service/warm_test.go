@@ -123,7 +123,7 @@ func TestWarmPathByteIdenticalToFullRepartition(t *testing.T) {
 
 // TestServiceStateRandomWalk is the stateful soak: 500+ admit/remove ops per
 // seed through the service layer, every response and allocation byte-compared
-// against the full-repartition oracle. make partition-race runs it under the
+// against the full-repartition oracle. make test-race runs it under the
 // race detector.
 func TestServiceStateRandomWalk(t *testing.T) {
 	seeds := []int64{1, 2, 3}
