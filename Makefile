@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race cover bench fuzz fuzz-smoke serve-smoke obs-smoke shard-bench policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
+.PHONY: all check fmt-check build vet test test-short test-race cover bench fuzz fuzz-smoke serve-smoke obs-smoke shard-bench policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
 
 all: build vet test
 
-# What CI runs (.github/workflows/ci.yml): vet + build + the whole test
+# What CI runs (.github/workflows/ci.yml): gofmt + vet + build + the whole test
 # suite under the race detector (the differential oracles, the parallel
 # Phase-1 determinism pins, the shard/durability, incremental-partition,
 # admission-policy and typed-model suites all run there), a fuzzing smoke
@@ -15,7 +15,13 @@ all: build vet test
 # test of its observability surface (/metrics, pprof, ?trace=1, flight
 # recorder, audit log), and the continuous perf-regression gate over the
 # pinned benchmark set.
-check: vet build test-race fuzz-smoke serve-smoke obs-smoke perf-gate
+check: fmt-check vet build test-race fuzz-smoke serve-smoke obs-smoke perf-gate
+
+# Fail when any tracked Go file is not gofmt-clean. git ls-files keeps the
+# gitignored benchmark build tree (.bench_build/) out of the check.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -21,12 +21,14 @@
 //	GET    /v1/allocation   current verdict + allocation (same bytes as
 //	                        `fedsched -o json` for the same system)
 //	GET    /v1/healthz      liveness
-//	GET    /debug/vars      metrics (admits, rejects, cache hit rate,
-//	                        admission latency p50/p99/p999, queue depth)
+//	GET    /debug/vars      per-shard metrics as JSON (admits, rejects, cache
+//	                        hit rate, admission latency p50/p99/p999, queue
+//	                        depth); nested under shard_<i> at -shards > 1
 //	GET    /debug/traces    flight recorder: recent decision traces, JSONL
 //	GET    /debug/traces/{id}  one retained decision trace by trace ID
-//	GET    /metrics         the same metrics in Prometheus text exposition,
-//	                        plus fleet sums and SLO burn-rate gauges
+//	GET    /metrics         the same per-shard values in Prometheus text
+//	                        exposition, plus the latency histograms, fleet
+//	                        sums and SLO burn-rate gauges
 //
 // Every mutating response carries an X-Trace-Id header; -v logs a one-line
 // summary per admission, -audit appends a JSONL audit trail, and -debug-addr

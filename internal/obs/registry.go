@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,9 +23,9 @@ const (
 
 // Registry is a labeled metric namespace with deterministic Prometheus text
 // rendering: families sort by name, series within a family keep registration
-// order. It exists so the daemon's fleet-level view — sums and merges across
-// shards, SLO burn rates — has one place to declare itself instead of growing
-// ad-hoc fmt.Fprintf blocks in the scrape handler.
+// order. It is the daemon's one metrics surface: every /metrics family —
+// per-shard series, fleet sums and merges across shards, SLO burn rates — is
+// declared in one registry and rendered by WritePrometheus.
 //
 // All methods are safe for concurrent use. Registering the same name with a
 // conflicting type panics: that is a wiring bug, not a runtime condition.
@@ -37,15 +38,17 @@ type family struct {
 	name   string
 	typ    string
 	series []*series
-	byKey  map[string]*series
 }
 
+// series is one labeled series. Every series reads its state at scrape
+// time, through value (counter and gauge families) or hist (histogram
+// families); owned is the metric a typed accessor created, returned when the
+// same name{labels} is asked for again.
 type series struct {
-	labels  string // rendered label body, e.g. `shard="0"` ("" for none)
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() float64 // scrape-time value; overrides the typed fields
+	labels string // rendered label body, e.g. `shard="0"` ("" for none)
+	value  func() float64
+	hist   func() *Histogram
+	owned  any
 }
 
 // NewRegistry returns an empty registry.
@@ -71,78 +74,80 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
-func (r *Registry) family(name, typ string) *family {
+// register returns the series name{labels}, installing fresh when it does
+// not exist yet: the first registration of a series wins.
+func (r *Registry) register(name, typ string, labels []Label, fresh *series) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, typ: typ, byKey: make(map[string]*series)}
+		f = &family{name: name, typ: typ}
 		r.families[name] = f
-		return f
-	}
-	if f.typ != typ {
+	} else if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as both %s and %s", name, f.typ, typ))
 	}
-	return f
-}
-
-func (f *family) get(labels []Label, make func() *series) *series {
 	key := renderLabels(labels)
 	for _, s := range f.series {
 		if s.labels == key {
 			return s
 		}
 	}
-	s := make()
-	s.labels = key
-	f.series = append(f.series, s)
-	f.byKey[key] = s
-	return s
+	fresh.labels = key
+	f.series = append(f.series, fresh)
+	return fresh
 }
 
 // Counter returns (registering on first use) the counter series for
 // name{labels}.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	f := r.family(name, TypeCounter)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return f.get(labels, func() *series { return &series{counter: new(Counter)} }).counter
+	c := new(Counter)
+	fresh := &series{value: func() float64 { return float64(c.Value()) }, owned: c}
+	return r.register(name, TypeCounter, labels, fresh).owned.(*Counter)
 }
 
 // Gauge returns (registering on first use) the gauge series for name{labels}.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	f := r.family(name, TypeGauge)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return f.get(labels, func() *series { return &series{gauge: new(Gauge)} }).gauge
+	g := new(Gauge)
+	return r.register(name, TypeGauge, labels, &series{value: g.Value, owned: g}).owned.(*Gauge)
 }
 
 // Histogram returns (registering on first use) the histogram series for
 // name{labels}.
 func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
-	f := r.family(name, TypeHistogram)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return f.get(labels, func() *series { return &series{hist: new(Histogram)} }).hist
+	h := new(Histogram)
+	fresh := &series{hist: func() *Histogram { return h }, owned: h}
+	return r.register(name, TypeHistogram, labels, fresh).owned.(*Histogram)
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time —
 // the shape fleet aggregations and burn rates take, since they derive from
 // other state rather than owning any.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
-	f := r.family(name, TypeGauge)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f.get(labels, func() *series { return &series{fn: fn} }).fn = fn
+	r.register(name, TypeGauge, labels, &series{value: fn})
 }
 
 // CounterFunc is GaugeFunc with counter typing (the value must be
 // monotonically non-decreasing; the registry trusts the caller).
 func (r *Registry) CounterFunc(name string, fn func() float64, labels ...Label) {
-	f := r.family(name, TypeCounter)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f.get(labels, func() *series { return &series{fn: fn} }).fn = fn
+	r.register(name, TypeCounter, labels, &series{value: fn})
+}
+
+// HistogramFunc registers a histogram series whose histogram is produced at
+// scrape time: a histogram some other component owns and observes into, or
+// one derived on demand (a bucket-wise merge across shards).
+func (r *Registry) HistogramFunc(name string, fn func() *Histogram, labels ...Label) {
+	r.register(name, TypeHistogram, labels, &series{hist: fn})
+}
+
+// FormatValue renders a sample value: an integral value that float64 holds
+// exactly as a plain integer ("1000000", never "1e+06"), anything else in
+// the shortest 'g' form. Counts therefore read the same in the Prometheus
+// exposition and in JSON views, and decode into integer fields.
+func FormatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) <= 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // WritePrometheus renders every family in the text exposition format
@@ -157,9 +162,9 @@ func (r *Registry) WritePrometheus(buf *bytes.Buffer) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fams := make([]*family, len(names))
+	fams := make([]family, len(names)) // copied: series slices read unlocked
 	for i, name := range names {
-		fams[i] = r.families[name]
+		fams[i] = *r.families[name]
 	}
 	r.mu.Unlock()
 	for _, f := range fams {
@@ -170,17 +175,8 @@ func (r *Registry) WritePrometheus(buf *bytes.Buffer) {
 				if extra != "" {
 					extra += ","
 				}
-				WriteHistogram(buf, f.name, extra, s.hist)
+				WriteHistogram(buf, f.name, extra, s.hist())
 				continue
-			}
-			var v float64
-			switch {
-			case s.fn != nil:
-				v = s.fn()
-			case s.counter != nil:
-				v = float64(s.counter.Value())
-			case s.gauge != nil:
-				v = s.gauge.Value()
 			}
 			buf.WriteString(f.name)
 			if s.labels != "" {
@@ -189,7 +185,7 @@ func (r *Registry) WritePrometheus(buf *bytes.Buffer) {
 				buf.WriteByte('}')
 			}
 			buf.WriteByte(' ')
-			buf.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+			buf.WriteString(FormatValue(s.value()))
 			buf.WriteByte('\n')
 		}
 	}

@@ -242,3 +242,24 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 	r.Counter("x_total")
 	r.Gauge("x_total")
 }
+
+func TestFormatValue(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{0, "0"},
+		{8, "8"},
+		{1e6, "1000000"}, // an integral count never renders as 1e+06
+		{123456789, "123456789"},
+		{1 << 53, "9007199254740992"},
+		{0.8, "0.8"},
+		{0.005, "0.005"},
+		{1e-7, "1e-07"},
+		{1e300, "1e+300"},
+	} {
+		if got := FormatValue(tc.v); got != tc.want {
+			t.Errorf("FormatValue(%v) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+}

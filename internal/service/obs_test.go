@@ -10,18 +10,40 @@ import (
 )
 
 // TestMetricsExpositionGolden pins the full Prometheus text exposition of a
-// fresh server: every metric name, type line and zero value, in order. A
-// fresh server has made no observations, so the page is fully deterministic.
+// fresh server — single-shard, two-shard and durable — every metric name,
+// type line and zero value, in order. A fresh server has made no
+// observations, so each page is fully deterministic.
 func TestMetricsExpositionGolden(t *testing.T) {
-	_, ts := newTestServer(t, Config{M: 4, QueueBound: 8})
-	status, body, hdr := doJSON(t, ts.Client(), http.MethodGet, ts.URL+"/metrics", nil)
-	if status != http.StatusOK {
-		t.Fatalf("GET /metrics = %d", status)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"single", Config{M: 4, QueueBound: 8}, goldenSingle},
+		{"shards2", Config{M: 4, QueueBound: 8, Shards: 2}, goldenShards2},
+		{"durable", Config{M: 4, QueueBound: 8, WALDir: t.TempDir()}, goldenDurable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, tc.cfg)
+			status, body, hdr := doJSON(t, ts.Client(), http.MethodGet, ts.URL+"/metrics", nil)
+			if status != http.StatusOK {
+				t.Fatalf("GET /metrics = %d", status)
+			}
+			if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+				t.Errorf("Content-Type = %q", ct)
+			}
+			if string(body) != tc.want {
+				t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", body, tc.want)
+			}
+		})
 	}
-	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	const want = `# TYPE fedschedd_admits_total counter
+}
+
+const goldenSingle = `# TYPE fedschedd_admit_latency_seconds histogram
+fedschedd_admit_latency_seconds_bucket{le="+Inf"} 0
+fedschedd_admit_latency_seconds_sum 0
+fedschedd_admit_latency_seconds_count 0
+# TYPE fedschedd_admits_total counter
 fedschedd_admits_total 0
 # TYPE fedschedd_batch_admits_total counter
 fedschedd_batch_admits_total 0
@@ -35,24 +57,6 @@ fedschedd_cache_hits 0
 fedschedd_cache_misses 0
 # TYPE fedschedd_errors_total counter
 fedschedd_errors_total 0
-# TYPE fedschedd_queue_bound gauge
-fedschedd_queue_bound 8
-# TYPE fedschedd_queue_depth gauge
-fedschedd_queue_depth 0
-# TYPE fedschedd_rejects_total counter
-fedschedd_rejects_total 0
-# TYPE fedschedd_removes_total counter
-fedschedd_removes_total 0
-# TYPE fedschedd_shed_total counter
-fedschedd_shed_total 0
-# TYPE fedschedd_tasks gauge
-fedschedd_tasks 0
-# TYPE fedschedd_timeouts_total counter
-fedschedd_timeouts_total 0
-# TYPE fedschedd_admit_latency_seconds histogram
-fedschedd_admit_latency_seconds_bucket{le="+Inf"} 0
-fedschedd_admit_latency_seconds_sum 0
-fedschedd_admit_latency_seconds_count 0
 # TYPE fedschedd_fleet_admit_latency_seconds histogram
 fedschedd_fleet_admit_latency_seconds_bucket{le="+Inf"} 0
 fedschedd_fleet_admit_latency_seconds_sum 0
@@ -75,6 +79,16 @@ fedschedd_fleet_shed_total 0
 fedschedd_fleet_tasks 0
 # TYPE fedschedd_fleet_timeouts_total counter
 fedschedd_fleet_timeouts_total 0
+# TYPE fedschedd_queue_bound gauge
+fedschedd_queue_bound 8
+# TYPE fedschedd_queue_depth gauge
+fedschedd_queue_depth 0
+# TYPE fedschedd_rejects_total counter
+fedschedd_rejects_total 0
+# TYPE fedschedd_removes_total counter
+fedschedd_removes_total 0
+# TYPE fedschedd_shed_total counter
+fedschedd_shed_total 0
 # TYPE fedschedd_slo_admit_latency_budget_seconds gauge
 fedschedd_slo_admit_latency_budget_seconds 0.005
 # TYPE fedschedd_slo_admit_latency_burn_rate gauge
@@ -89,11 +103,174 @@ fedschedd_slo_errors_total 0
 fedschedd_slo_requests_total 0
 # TYPE fedschedd_slo_window_seconds gauge
 fedschedd_slo_window_seconds 60
+# TYPE fedschedd_tasks gauge
+fedschedd_tasks 0
+# TYPE fedschedd_timeouts_total counter
+fedschedd_timeouts_total 0
 `
-	if string(body) != want {
-		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", body, want)
-	}
-}
+
+const goldenShards2 = `# TYPE fedschedd_admit_latency_seconds histogram
+fedschedd_admit_latency_seconds_bucket{shard="0",le="+Inf"} 0
+fedschedd_admit_latency_seconds_sum{shard="0"} 0
+fedschedd_admit_latency_seconds_count{shard="0"} 0
+fedschedd_admit_latency_seconds_bucket{shard="1",le="+Inf"} 0
+fedschedd_admit_latency_seconds_sum{shard="1"} 0
+fedschedd_admit_latency_seconds_count{shard="1"} 0
+# TYPE fedschedd_admits_total counter
+fedschedd_admits_total{shard="0"} 0
+fedschedd_admits_total{shard="1"} 0
+# TYPE fedschedd_batch_admits_total counter
+fedschedd_batch_admits_total{shard="0"} 0
+fedschedd_batch_admits_total{shard="1"} 0
+# TYPE fedschedd_cache_entries gauge
+fedschedd_cache_entries{shard="0"} 0
+fedschedd_cache_entries{shard="1"} 0
+# TYPE fedschedd_cache_hit_rate gauge
+fedschedd_cache_hit_rate{shard="0"} 0
+fedschedd_cache_hit_rate{shard="1"} 0
+# TYPE fedschedd_cache_hits gauge
+fedschedd_cache_hits{shard="0"} 0
+fedschedd_cache_hits{shard="1"} 0
+# TYPE fedschedd_cache_misses gauge
+fedschedd_cache_misses{shard="0"} 0
+fedschedd_cache_misses{shard="1"} 0
+# TYPE fedschedd_errors_total counter
+fedschedd_errors_total{shard="0"} 0
+fedschedd_errors_total{shard="1"} 0
+# TYPE fedschedd_fleet_admit_latency_seconds histogram
+fedschedd_fleet_admit_latency_seconds_bucket{le="+Inf"} 0
+fedschedd_fleet_admit_latency_seconds_sum 0
+fedschedd_fleet_admit_latency_seconds_count 0
+# TYPE fedschedd_fleet_admits_total counter
+fedschedd_fleet_admits_total 0
+# TYPE fedschedd_fleet_batch_admits_total counter
+fedschedd_fleet_batch_admits_total 0
+# TYPE fedschedd_fleet_errors_total counter
+fedschedd_fleet_errors_total 0
+# TYPE fedschedd_fleet_rejects_total counter
+fedschedd_fleet_rejects_total 0
+# TYPE fedschedd_fleet_removes_total counter
+fedschedd_fleet_removes_total 0
+# TYPE fedschedd_fleet_shards gauge
+fedschedd_fleet_shards 2
+# TYPE fedschedd_fleet_shed_total counter
+fedschedd_fleet_shed_total 0
+# TYPE fedschedd_fleet_tasks gauge
+fedschedd_fleet_tasks 0
+# TYPE fedschedd_fleet_timeouts_total counter
+fedschedd_fleet_timeouts_total 0
+# TYPE fedschedd_queue_bound gauge
+fedschedd_queue_bound{shard="0"} 8
+fedschedd_queue_bound{shard="1"} 8
+# TYPE fedschedd_queue_depth gauge
+fedschedd_queue_depth{shard="0"} 0
+fedschedd_queue_depth{shard="1"} 0
+# TYPE fedschedd_rejects_total counter
+fedschedd_rejects_total{shard="0"} 0
+fedschedd_rejects_total{shard="1"} 0
+# TYPE fedschedd_removes_total counter
+fedschedd_removes_total{shard="0"} 0
+fedschedd_removes_total{shard="1"} 0
+# TYPE fedschedd_shed_total counter
+fedschedd_shed_total{shard="0"} 0
+fedschedd_shed_total{shard="1"} 0
+# TYPE fedschedd_slo_admit_latency_budget_seconds gauge
+fedschedd_slo_admit_latency_budget_seconds 0.005
+# TYPE fedschedd_slo_admit_latency_burn_rate gauge
+fedschedd_slo_admit_latency_burn_rate 0
+# TYPE fedschedd_slo_admit_latency_over_budget_total counter
+fedschedd_slo_admit_latency_over_budget_total 0
+# TYPE fedschedd_slo_error_burn_rate gauge
+fedschedd_slo_error_burn_rate 0
+# TYPE fedschedd_slo_errors_total counter
+fedschedd_slo_errors_total 0
+# TYPE fedschedd_slo_requests_total counter
+fedschedd_slo_requests_total 0
+# TYPE fedschedd_slo_window_seconds gauge
+fedschedd_slo_window_seconds 60
+# TYPE fedschedd_tasks gauge
+fedschedd_tasks{shard="0"} 0
+fedschedd_tasks{shard="1"} 0
+# TYPE fedschedd_timeouts_total counter
+fedschedd_timeouts_total{shard="0"} 0
+fedschedd_timeouts_total{shard="1"} 0
+`
+
+const goldenDurable = `# TYPE fedschedd_admit_latency_seconds histogram
+fedschedd_admit_latency_seconds_bucket{le="+Inf"} 0
+fedschedd_admit_latency_seconds_sum 0
+fedschedd_admit_latency_seconds_count 0
+# TYPE fedschedd_admits_total counter
+fedschedd_admits_total 0
+# TYPE fedschedd_batch_admits_total counter
+fedschedd_batch_admits_total 0
+# TYPE fedschedd_cache_entries gauge
+fedschedd_cache_entries 0
+# TYPE fedschedd_cache_hit_rate gauge
+fedschedd_cache_hit_rate 0
+# TYPE fedschedd_cache_hits gauge
+fedschedd_cache_hits 0
+# TYPE fedschedd_cache_misses gauge
+fedschedd_cache_misses 0
+# TYPE fedschedd_errors_total counter
+fedschedd_errors_total 0
+# TYPE fedschedd_fleet_admit_latency_seconds histogram
+fedschedd_fleet_admit_latency_seconds_bucket{le="+Inf"} 0
+fedschedd_fleet_admit_latency_seconds_sum 0
+fedschedd_fleet_admit_latency_seconds_count 0
+# TYPE fedschedd_fleet_admits_total counter
+fedschedd_fleet_admits_total 0
+# TYPE fedschedd_fleet_batch_admits_total counter
+fedschedd_fleet_batch_admits_total 0
+# TYPE fedschedd_fleet_errors_total counter
+fedschedd_fleet_errors_total 0
+# TYPE fedschedd_fleet_rejects_total counter
+fedschedd_fleet_rejects_total 0
+# TYPE fedschedd_fleet_removes_total counter
+fedschedd_fleet_removes_total 0
+# TYPE fedschedd_fleet_shards gauge
+fedschedd_fleet_shards 1
+# TYPE fedschedd_fleet_shed_total counter
+fedschedd_fleet_shed_total 0
+# TYPE fedschedd_fleet_tasks gauge
+fedschedd_fleet_tasks 0
+# TYPE fedschedd_fleet_timeouts_total counter
+fedschedd_fleet_timeouts_total 0
+# TYPE fedschedd_queue_bound gauge
+fedschedd_queue_bound 8
+# TYPE fedschedd_queue_depth gauge
+fedschedd_queue_depth 0
+# TYPE fedschedd_rejects_total counter
+fedschedd_rejects_total 0
+# TYPE fedschedd_removes_total counter
+fedschedd_removes_total 0
+# TYPE fedschedd_shed_total counter
+fedschedd_shed_total 0
+# TYPE fedschedd_slo_admit_latency_budget_seconds gauge
+fedschedd_slo_admit_latency_budget_seconds 0.005
+# TYPE fedschedd_slo_admit_latency_burn_rate gauge
+fedschedd_slo_admit_latency_burn_rate 0
+# TYPE fedschedd_slo_admit_latency_over_budget_total counter
+fedschedd_slo_admit_latency_over_budget_total 0
+# TYPE fedschedd_slo_error_burn_rate gauge
+fedschedd_slo_error_burn_rate 0
+# TYPE fedschedd_slo_errors_total counter
+fedschedd_slo_errors_total 0
+# TYPE fedschedd_slo_requests_total counter
+fedschedd_slo_requests_total 0
+# TYPE fedschedd_slo_window_seconds gauge
+fedschedd_slo_window_seconds 60
+# TYPE fedschedd_tasks gauge
+fedschedd_tasks 0
+# TYPE fedschedd_timeouts_total counter
+fedschedd_timeouts_total 0
+# TYPE fedschedd_wal_appends_total counter
+fedschedd_wal_appends_total 0
+# TYPE fedschedd_wal_seq gauge
+fedschedd_wal_seq 0
+# TYPE fedschedd_wal_snapshots_total counter
+fedschedd_wal_snapshots_total 0
+`
 
 // TestMetricsExpositionAfterAdmit checks counters move and the latency
 // histogram gains cumulative buckets that parse as a valid exposition.

@@ -3,7 +3,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -75,7 +74,7 @@ const clusterHeader = "X-Cluster"
 //	DELETE /v1/tasks/{name} remove an admitted task
 //	GET    /v1/allocation   current verdict + allocation
 //	GET    /v1/healthz      liveness
-//	GET    /debug/vars      expvar metrics
+//	GET    /debug/vars      the per-shard metrics as JSON
 //	GET    /debug/traces    flight recorder: retained decision entries, JSONL
 //	GET    /debug/traces/{id}  one retained decision trace by trace ID
 //	GET    /metrics         Prometheus text exposition
@@ -104,10 +103,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/clusters/{cluster}/allocation", s.route(pathCluster, (*Shard).handleAllocation))
 	// Process-level endpoints: never redirected, always local.
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.Handle("GET /debug/vars", s.varsAll())
+	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
-	mux.Handle("GET /metrics", s.promHandler())
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
@@ -131,22 +130,4 @@ func (s *Server) route(cluster func(*http.Request) string, h func(*Shard, http.R
 		}
 		h(s.shards[s.ring.owner(name)], w, r)
 	}
-}
-
-// varsAll serves /debug/vars. A single-shard server exposes its shard's map
-// directly — byte-identical to the pre-shard daemon — while a multi-shard
-// server nests each shard's map under "shard_<i>".
-func (s *Server) varsAll() http.Handler {
-	if len(s.shards) == 1 {
-		return s.shards[0].varsMap
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		parts := make(map[string]json.RawMessage, len(s.shards))
-		for _, sh := range s.shards {
-			parts[fmt.Sprintf("shard_%d", sh.id)] = json.RawMessage(sh.promVars.String())
-		}
-		out, _ := json.MarshalIndent(parts, "", "  ")
-		w.Write(append(out, '\n'))
-	})
 }

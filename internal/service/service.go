@@ -122,7 +122,7 @@ type Server struct {
 	started time.Time
 
 	slo      *sloState     // server-wide SLO ledger, shared by every shard
-	registry *obs.Registry // fleet + SLO metric families for /metrics
+	registry *obs.Registry // every /metrics family: shards, fleet, SLO
 }
 
 // New starts a Server and its shards (including their writer loops and, with
@@ -189,7 +189,7 @@ func New(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, sh)
 	}
 	s.Shard = s.shards[s.ring.owner("")]
-	s.registry = s.fleetRegistry()
+	s.registry = s.newRegistry()
 	return s, nil
 }
 
@@ -211,9 +211,7 @@ func (s *Server) ShardFor(cluster string) *Shard {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	tasks := 0
 	for _, sh := range s.shards {
-		sh.mu.RLock()
-		tasks += len(sh.sys)
-		sh.mu.RUnlock()
+		tasks += sh.taskCount()
 	}
 	resp := map[string]any{
 		"status":   "ok",

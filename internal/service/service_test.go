@@ -2,12 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -321,7 +323,7 @@ func TestLoadShedding(t *testing.T) {
 }
 
 func TestAdmitDeadline(t *testing.T) {
-	_, ts := newTestServer(t, Config{M: 4, AdmitTimeout: time.Nanosecond})
+	svc, ts := newTestServer(t, Config{M: 4, AdmitTimeout: time.Nanosecond})
 	c := ts.Client()
 	status, body, _ := doJSON(t, c, http.MethodPost, ts.URL+"/v1/admit", admitBody(t, example1Task("late")))
 	if status != http.StatusGatewayTimeout {
@@ -335,6 +337,22 @@ func TestAdmitDeadline(t *testing.T) {
 	}
 	if v.Tasks != 0 {
 		t.Fatalf("timed-out admission was installed: %+v", v)
+	}
+	// The expired request may still sit in the queue; a request behind it
+	// returns only after the writer loop has dequeued (and dropped) it. Then
+	// the one 504 must have counted exactly one timeout.
+	svc.submit(context.Background(), "admit", "drain", func() opResult { return opResult{status: http.StatusOK} })
+	_, varsBody, _ := doJSON(t, c, http.MethodGet, ts.URL+"/debug/vars", nil)
+	var vars map[string]any
+	if err := json.Unmarshal(varsBody, &vars); err != nil {
+		t.Fatal(err)
+	}
+	if got := vars["timeouts_total"]; got != 1.0 {
+		t.Errorf("timeouts_total = %v after one 504, want 1", got)
+	}
+	_, page, _ := doJSON(t, c, http.MethodGet, ts.URL+"/metrics", nil)
+	if !strings.Contains(string(page), "\nfedschedd_fleet_timeouts_total 1\n") {
+		t.Errorf("fleet timeouts after one 504 is not 1:\n%s", page)
 	}
 }
 
@@ -365,16 +383,38 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %v, want %v", k, vars[k], exp)
 		}
 	}
-	for _, k := range []string{"cache_hits", "cache_misses", "cache_hit_rate", "queue_depth", "queue_bound",
-		"admit_latency_p50_ns", "admit_latency_p99_ns", "tasks", "cache_entries"} {
-		if _, ok := vars[k]; !ok {
-			t.Errorf("debug/vars missing %s", k)
-		}
+	keys := []string{"admit_latency_p50_ns", "admit_latency_p999_ns", "admit_latency_p99_ns", "admits_total",
+		"batch_admits_total", "cache_entries", "cache_hit_rate", "cache_hits", "cache_misses", "errors_total",
+		"queue_bound", "queue_depth", "rejects_total", "removes_total", "shed_total", "tasks", "timeouts_total"}
+	if got := sortedKeys(vars); strings.Join(got, " ") != strings.Join(keys, " ") {
+		t.Errorf("debug/vars keys:\n got %v\nwant %v", got, keys)
 	}
 	// tri and tri2 share content: the second admission must hit the cache.
 	if hits, _ := vars["cache_hits"].(float64); hits < 1 {
 		t.Errorf("cache_hits = %v, want ≥ 1", vars["cache_hits"])
 	}
+
+	// A durable server adds exactly the WAL keys.
+	_, dts := newTestServer(t, Config{M: 4, WALDir: t.TempDir()})
+	_, body, _ = doJSON(t, dts.Client(), http.MethodGet, dts.URL+"/debug/vars", nil)
+	vars = nil
+	if err := json.Unmarshal(body, &vars); err != nil {
+		t.Fatalf("durable debug/vars is not JSON: %v\n%s", err, body)
+	}
+	keys = append(keys, "wal_appends_total", "wal_seq", "wal_snapshots_total")
+	sort.Strings(keys)
+	if got := sortedKeys(vars); strings.Join(got, " ") != strings.Join(keys, " ") {
+		t.Errorf("durable debug/vars keys:\n got %v\nwant %v", got, keys)
+	}
+}
+
+func sortedKeys(m map[string]any) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func TestServerRejectsBadConfig(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -67,10 +66,9 @@ type Shard struct {
 	loop    sync.WaitGroup
 	once    sync.Once
 
-	met      metrics
-	varsMap  http.Handler
-	promVars *expvar.Map
-	started  time.Time
+	met     metrics
+	vars    []shardVar // the scalars /metrics and /debug/vars both read
+	started time.Time
 
 	// tracePrefix + traceSeq mint per-request trace IDs like "a1b2c3d4-000007".
 	tracePrefix string
@@ -141,8 +139,7 @@ func newShard(id int, cfg Config) (*Shard, error) {
 			return nil, fmt.Errorf("shard %d: %w", id, err)
 		}
 	}
-	s.promVars = s.vars()
-	s.varsMap = varsHandler(s.promVars)
+	s.vars = s.buildVars()
 	s.loop.Add(1)
 	go s.writerLoop()
 	return s, nil
@@ -239,7 +236,6 @@ func (s *Shard) writerLoop() {
 
 func (s *Shard) serve(req *request) {
 	if err := req.ctx.Err(); err != nil {
-		s.met.timeouts.Add(1)
 		req.resp <- errResultTrace(http.StatusGatewayTimeout, "admission deadline expired while queued: "+err.Error(), req.trace)
 		return
 	}
@@ -270,16 +266,22 @@ func (s *Shard) submitInner(ctx context.Context, traceID string, run func() opRe
 		s.met.shed.Add(1)
 		return errResultTrace(http.StatusTooManyRequests, "admission queue full; retry later", traceID)
 	}
+	var res opResult
 	select {
-	case res := <-req.resp:
-		return res
+	case res = <-req.resp:
 	case <-ctx.Done():
 		// The loop may still execute the request (it re-checks the context
 		// before starting, but cannot un-run an analysis already underway);
 		// the client should GET /v1/allocation to learn the outcome.
-		s.met.timeouts.Add(1)
-		return errResultTrace(http.StatusGatewayTimeout, "admission deadline expired: "+ctx.Err().Error(), traceID)
+		res = errResultTrace(http.StatusGatewayTimeout, "admission deadline expired: "+ctx.Err().Error(), traceID)
 	}
+	// Both 504 sources — the loop dropping a request that expired while
+	// queued, and this wait giving up — answer the client here, and only one
+	// of them does, so each 504 counts exactly one timeout.
+	if res.status == http.StatusGatewayTimeout {
+		s.met.timeouts.Add(1)
+	}
+	return res
 }
 
 // randomTracePrefix draws the per-shard trace-ID prefix.
@@ -643,11 +645,4 @@ func (s *Shard) handleAllocation(w http.ResponseWriter, _ *http.Request) {
 	sys, alloc := s.sys, s.alloc
 	s.mu.RUnlock()
 	writeJSON(w, verdictResult(http.StatusOK, NewVerdict(sys, s.cfg.M, alloc, nil)))
-}
-
-func varsHandler(m fmt.Stringer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintln(w, m.String())
-	})
 }

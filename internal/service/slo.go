@@ -95,53 +95,13 @@ func (st *sloState) errorBurnRate() float64 {
 	return burnRate(st.wErrBad.Sum(), st.wReqs.Sum(), sloErrorObjective)
 }
 
-// fleetRegistry declares the server-level metric families: fleet-wide sums
-// across shards and the SLO ledger. Everything is a scrape-time Func over
-// live state — the registry owns no double-counted copies.
-func (s *Server) fleetRegistry() *obs.Registry {
-	r := obs.NewRegistry()
-	sum := func(get func(*Shard) int64) func() float64 {
-		return func() float64 {
-			var t int64
-			for _, sh := range s.shards {
-				t += get(sh)
-			}
-			return float64(t)
-		}
-	}
-	r.CounterFunc("fedschedd_fleet_admits_total", sum(func(sh *Shard) int64 { return sh.met.admits.Value() }))
-	r.CounterFunc("fedschedd_fleet_batch_admits_total", sum(func(sh *Shard) int64 { return sh.met.batches.Value() }))
-	r.CounterFunc("fedschedd_fleet_rejects_total", sum(func(sh *Shard) int64 { return sh.met.rejects.Value() }))
-	r.CounterFunc("fedschedd_fleet_removes_total", sum(func(sh *Shard) int64 { return sh.met.removes.Value() }))
-	r.CounterFunc("fedschedd_fleet_shed_total", sum(func(sh *Shard) int64 { return sh.met.shed.Value() }))
-	r.CounterFunc("fedschedd_fleet_timeouts_total", sum(func(sh *Shard) int64 { return sh.met.timeouts.Value() }))
-	r.CounterFunc("fedschedd_fleet_errors_total", sum(func(sh *Shard) int64 { return sh.met.errors.Value() }))
-	r.GaugeFunc("fedschedd_fleet_shards", func() float64 { return float64(len(s.shards)) })
-	r.GaugeFunc("fedschedd_fleet_tasks", sum(func(sh *Shard) int64 {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return int64(len(sh.sys))
-	}))
-	r.GaugeFunc("fedschedd_slo_admit_latency_budget_seconds", func() float64 {
-		return s.slo.latencyBudget.Seconds()
-	})
-	r.GaugeFunc("fedschedd_slo_window_seconds", func() float64 { return s.slo.wReqs.Span().Seconds() })
-	r.CounterFunc("fedschedd_slo_requests_total", func() float64 { return float64(s.slo.reqs.Value()) })
-	r.CounterFunc("fedschedd_slo_admit_latency_over_budget_total", func() float64 { return float64(s.slo.latBad.Value()) })
-	r.CounterFunc("fedschedd_slo_errors_total", func() float64 { return float64(s.slo.errBad.Value()) })
-	r.GaugeFunc("fedschedd_slo_admit_latency_burn_rate", s.slo.latencyBurnRate)
-	r.GaugeFunc("fedschedd_slo_error_burn_rate", s.slo.errorBurnRate)
-	return r
-}
-
-// fleetLatency merges every shard's admit-latency histogram into one. The
-// log-bucketed histograms share fixed boundaries, so the bucket-wise add is
-// exact: the fleet histogram's quantiles are as trustworthy as any single
-// shard's (no cross-histogram interpolation error).
-func (s *Server) fleetLatency() *obs.Histogram {
-	var merged obs.Histogram
-	for _, sh := range s.shards {
-		merged.AddHistogram(&sh.met.latency)
-	}
-	return &merged
+// register declares the SLO ledger's families in r.
+func (st *sloState) register(r *obs.Registry) {
+	r.GaugeFunc("fedschedd_slo_admit_latency_budget_seconds", func() float64 { return st.latencyBudget.Seconds() })
+	r.GaugeFunc("fedschedd_slo_window_seconds", func() float64 { return st.wReqs.Span().Seconds() })
+	r.CounterFunc("fedschedd_slo_requests_total", func() float64 { return float64(st.reqs.Value()) })
+	r.CounterFunc("fedschedd_slo_admit_latency_over_budget_total", func() float64 { return float64(st.latBad.Value()) })
+	r.CounterFunc("fedschedd_slo_errors_total", func() float64 { return float64(st.errBad.Value()) })
+	r.GaugeFunc("fedschedd_slo_admit_latency_burn_rate", st.latencyBurnRate)
+	r.GaugeFunc("fedschedd_slo_error_burn_rate", st.errorBurnRate)
 }

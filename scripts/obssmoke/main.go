@@ -9,7 +9,8 @@
 //  4. admits the paper's Example 1 task with ?trace=1 and asserts the verdict
 //     embeds a fedcons decision trace and an X-Trace-Id header,
 //  5. re-scrapes /metrics and asserts admits_total and the latency histogram
-//     advanced,
+//     advanced, and that /debug/vars reports the same admits_total, tasks
+//     and cache_hits as the exposition (both views read one source),
 //  6. forces a traced rejection, fetches the retained decision trace from
 //     /debug/traces/{id}, and asserts it is byte-identical to the inline
 //     ?trace=1 verdict's trace (writing the /debug/traces listing to
@@ -32,6 +33,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -159,6 +161,23 @@ func smoke() error {
 	} {
 		if !strings.Contains(page, want) {
 			return fmt.Errorf("post-admit /metrics missing %q; page:\n%s", want, page)
+		}
+	}
+	varsPage, err := fetch(client, base+"/debug/vars")
+	if err != nil {
+		return err
+	}
+	var vars map[string]float64
+	if err := json.Unmarshal([]byte(varsPage), &vars); err != nil {
+		return fmt.Errorf("decoding /debug/vars: %w\n%s", err, varsPage)
+	}
+	for _, key := range []string{"admits_total", "tasks", "cache_hits"} {
+		got, ok := vars[key]
+		if !ok {
+			return fmt.Errorf("/debug/vars lacks %s:\n%s", key, varsPage)
+		}
+		if want, err := sample(page, "fedschedd_"+key); err != nil || got != want {
+			return fmt.Errorf("/debug/vars %s = %v but /metrics fedschedd_%s = %v (%v)", key, got, key, want, err)
 		}
 	}
 
@@ -323,6 +342,16 @@ func waitForAddr(path string, exited <-chan error, out *bytes.Buffer) (string, e
 		time.Sleep(10 * time.Millisecond)
 	}
 	return "", fmt.Errorf("daemon never wrote %s; output:\n%s", path, out.String())
+}
+
+// sample returns the value of the unlabeled series name on an exposition page.
+func sample(page, name string) (float64, error) {
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return strconv.ParseFloat(v, 64)
+		}
+	}
+	return 0, fmt.Errorf("no %s sample", name)
 }
 
 func fetch(client *http.Client, url string) (string, error) {
